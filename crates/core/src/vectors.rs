@@ -26,8 +26,11 @@ pub struct VectorBatch {
     /// Slot width `D`.
     pub dim: usize,
     /// `N·C` gather indices into the node-embedding matrix (masked slots
-    /// point at node 0 and are zeroed by `mask`).
+    /// point at row 0 and are zeroed by `mask`).
     pub idx: Rc<Vec<u32>>,
+    /// Node id of the embedding matrix's row 0: 0 when it holds every
+    /// node, `graph.n_rids()` when it holds only the readout (cell) rows.
+    base: u32,
     /// `(N·C) × D` multiplicative 0/1 mask.
     pub mask: Tensor,
     /// `N × C` additive attention-score bias (0 for live slots,
@@ -46,6 +49,29 @@ impl VectorBatch {
         samples: &[(usize, usize)],
         dim: usize,
     ) -> Self {
+        Self::build_from(graph, table, samples, dim, 0)
+    }
+
+    /// [`VectorBatch::build`] for an embedding matrix that holds only the
+    /// readout rows [`TableGraph::readout_range`] — the output of
+    /// `HeteroSage::forward_blocks` — so gather indices are readout-local.
+    pub fn for_readout(
+        graph: &TableGraph,
+        table: &Table,
+        samples: &[(usize, usize)],
+        dim: usize,
+    ) -> Self {
+        let base = u32::try_from(graph.readout_range().start).expect("node id fits u32");
+        Self::build_from(graph, table, samples, dim, base)
+    }
+
+    fn build_from(
+        graph: &TableGraph,
+        table: &Table,
+        samples: &[(usize, usize)],
+        dim: usize,
+        base: u32,
+    ) -> Self {
         let n = samples.len();
         let n_cols = table.n_columns();
         let mut idx = Vec::with_capacity(n * n_cols);
@@ -61,7 +87,7 @@ impl VectorBatch {
                 };
                 match node {
                     Some(node) => {
-                        idx.push(node);
+                        idx.push(node - base);
                         mask.row_slice_mut(slot).fill(1.0);
                     }
                     None => {
@@ -76,6 +102,7 @@ impl VectorBatch {
             n_cols,
             dim,
             idx: Rc::new(idx),
+            base,
             mask,
             score_bias,
         }
@@ -93,6 +120,7 @@ impl VectorBatch {
     /// through [`Rc::get_mut`], which requires that every tape-held clone of
     /// the previous epoch's `idx` has been dropped (`tape.reset()` does
     /// that). Panics if the batch is still aliased or `samples.len() != n`.
+    /// Indices keep the convention the batch was built with.
     pub fn refill(&mut self, graph: &TableGraph, table: &Table, samples: &[(usize, usize)]) {
         assert_eq!(
             samples.len(),
@@ -112,7 +140,7 @@ impl VectorBatch {
                 };
                 match node {
                     Some(node) => {
-                        idx[slot] = node;
+                        idx[slot] = node - self.base;
                         self.mask.row_slice_mut(slot).fill(1.0);
                         self.score_bias.set(s, c, 0.0);
                     }

@@ -493,6 +493,22 @@ impl TableGraph {
         self.n_rows
     }
 
+    /// The readout set of the task heads: every cell node, as the
+    /// contiguous id range `n_rids()..n_nodes()`. Training and imputation
+    /// vectors are built from cell-node embeddings only (§3.3), so the GNN
+    /// needs its last layer only on these rows. Every build numbers all
+    /// RIDs first and [`TableGraph::append_rows`] renumbers to keep that
+    /// layout; the boundary is checked here.
+    pub fn readout_range(&self) -> std::ops::Range<usize> {
+        let n = self.n_nodes();
+        assert!(
+            (self.n_rows == 0 || matches!(self.labels[self.n_rows - 1], NodeLabel::Rid(_)))
+                && (self.n_rows == n || matches!(self.labels[self.n_rows], NodeLabel::Cell { .. })),
+            "node layout must be RIDs first, then cells"
+        );
+        self.n_rows..n
+    }
+
     /// Number of attributes (= edge types).
     pub fn n_edge_types(&self) -> usize {
         self.n_cols
@@ -618,6 +634,12 @@ pub struct TypeCsr {
 }
 
 impl TypeCsr {
+    /// The raw `(offsets, neighbors)` arrays, ready for a CSR consumer
+    /// such as `grimp_tensor::Adjacency::from_raw`.
+    pub fn into_raw(self) -> (Vec<u32>, Vec<u32>) {
+        (self.offsets, self.neighbors)
+    }
+
     /// Number of nodes covered.
     pub fn n_nodes(&self) -> usize {
         self.offsets.len() - 1
@@ -647,24 +669,26 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Deterministic per-epoch neighbor sampler over [`TypeCsr`] edge sets.
 ///
-/// For every epoch it produces per-type neighbor lists shaped exactly like
-/// [`TableGraph::neighbor_lists`], but with every node's neighborhood capped
-/// at `fanout` via reservoir sampling (uniform without replacement). The
-/// random stream of a node is derived purely from `(seed, epoch, type,
-/// node)` with SplitMix64, so the sample is:
+/// Every node's neighborhood of one edge type is capped at `fanout` via
+/// reservoir sampling (uniform without replacement). The random stream of a
+/// node is derived purely from `(seed, epoch, type, node)` with SplitMix64,
+/// so the sample is:
 ///
 /// - **reproducible** — same seed + epoch ⇒ bit-identical lists, on any
 ///   backend and at any thread count;
 /// - **epoch-indexed** — consecutive epochs see different neighborhoods,
 ///   which is what makes the expectation over epochs cover every edge;
 /// - **isolated** — no draws are taken from the training RNG, so full-batch
-///   runs are unaffected by the sampler's existence.
+///   runs are unaffected by the sampler's existence;
+/// - **local** — one node's draw does not depend on any other node's, so
+///   [`NeighborSampler::sample_node`] can draw just the message-flow
+///   frontier of a readout set and get exactly the lists
+///   [`NeighborSampler::sample_epoch`] would give those nodes.
 ///
-/// Output buffers are allocated once in [`NeighborSampler::new`] (capacity
-/// `min(degree, fanout)` per node, which is invariant across epochs) and
-/// refilled in place: after the first call to
-/// [`NeighborSampler::sample_epoch`] no further allocation happens — the
-/// grow-once contract the training loop's 0-allocs invariant relies on.
+/// [`NeighborSampler::sample_epoch`] fills per-type lists for every node,
+/// shaped like [`TableGraph::neighbor_lists`]. Its output buffers are
+/// allocated on the first call (capacity `min(degree, fanout)` per node,
+/// invariant across epochs) and refilled in place afterwards.
 #[derive(Clone, Debug)]
 pub struct NeighborSampler {
     seed: u64,
@@ -673,26 +697,47 @@ pub struct NeighborSampler {
     lists: Vec<Vec<Vec<u32>>>,
 }
 
+/// Append the `(seed, epoch, t, v)` sample of `v`'s type-`t` neighborhood.
+fn sample_into(
+    csr: &TypeCsr,
+    seed: u64,
+    fanout: usize,
+    epoch: u64,
+    t: usize,
+    v: usize,
+    out: &mut Vec<u32>,
+) {
+    let neigh = csr.neighbors_of(v);
+    if neigh.len() <= fanout {
+        out.extend_from_slice(neigh);
+        return;
+    }
+    // Reservoir sampling with a per-(seed, epoch, type, node) stream:
+    // uniform without replacement and O(degree).
+    let base = out.len();
+    let mut state = seed;
+    state = splitmix64(state ^ epoch);
+    state = splitmix64(state ^ t as u64);
+    state = splitmix64(state ^ v as u64);
+    out.extend_from_slice(&neigh[..fanout]);
+    for (i, &cand) in neigh.iter().enumerate().skip(fanout) {
+        state = splitmix64(state);
+        let j = (state % (i as u64 + 1)) as usize;
+        if j < fanout {
+            out[base + j] = cand;
+        }
+    }
+}
+
 impl NeighborSampler {
-    /// Snapshot the graph's CSR edge sets and pre-size the per-epoch output
-    /// buffers. `fanout` must be positive.
+    /// Snapshot the graph's CSR edge sets. `fanout` must be positive.
     pub fn new(graph: &TableGraph, seed: u64, fanout: usize) -> Self {
         assert!(fanout > 0, "fanout must be positive");
-        let csr = graph.csr_adjacency();
-        let n = graph.n_nodes();
-        let lists = csr
-            .iter()
-            .map(|t| {
-                (0..n)
-                    .map(|v| Vec::with_capacity(t.degree(v).min(fanout)))
-                    .collect()
-            })
-            .collect();
         NeighborSampler {
             seed,
             fanout,
-            csr,
-            lists,
+            csr: graph.csr_adjacency(),
+            lists: Vec::new(),
         }
     }
 
@@ -701,35 +746,62 @@ impl NeighborSampler {
         self.fanout
     }
 
+    /// Number of edge types.
+    pub fn n_edge_types(&self) -> usize {
+        self.csr.len()
+    }
+
+    /// Number of nodes covered.
+    pub fn n_nodes(&self) -> usize {
+        self.csr.first().map_or(0, TypeCsr::n_nodes)
+    }
+
+    /// Length of every sampled list of `v` through type `t`:
+    /// `min(degree, fanout)`, whatever the epoch.
+    pub fn sampled_degree(&self, t: usize, v: usize) -> usize {
+        self.csr[t].degree(v).min(self.fanout)
+    }
+
+    /// Directed sampled edges per epoch over all nodes: the sum over
+    /// `(node, type)` of `min(degree, fanout)`. Epoch-invariant.
+    pub fn sampled_edges(&self) -> u64 {
+        self.csr
+            .iter()
+            .map(|c| {
+                (0..c.n_nodes())
+                    .map(|v| c.degree(v).min(self.fanout) as u64)
+                    .sum::<u64>()
+            })
+            .sum()
+    }
+
+    /// Append `v`'s sampled type-`t` neighbors for `epoch` to `out` —
+    /// the same list [`NeighborSampler::sample_epoch`] gives `v`.
+    pub fn sample_node(&self, epoch: u64, t: usize, v: usize, out: &mut Vec<u32>) {
+        sample_into(&self.csr[t], self.seed, self.fanout, epoch, t, v, out);
+    }
+
     /// Resample every node's neighborhood for `epoch`, refilling the
     /// internal buffers. Returns the total number of directed sampled
     /// edges (the sum of all list lengths).
     pub fn sample_epoch(&mut self, epoch: u64) -> u64 {
+        if self.lists.is_empty() {
+            let fanout = self.fanout;
+            self.lists = self
+                .csr
+                .iter()
+                .map(|c| {
+                    (0..c.n_nodes())
+                        .map(|v| Vec::with_capacity(c.degree(v).min(fanout)))
+                        .collect()
+                })
+                .collect();
+        }
         let mut total = 0u64;
-        for (t, csr) in self.csr.iter().enumerate() {
-            let out = &mut self.lists[t];
+        for (t, (csr, out)) in self.csr.iter().zip(&mut self.lists).enumerate() {
             for (v, list) in out.iter_mut().enumerate() {
-                let neigh = csr.neighbors_of(v);
                 list.clear();
-                if neigh.len() <= self.fanout {
-                    list.extend_from_slice(neigh);
-                } else {
-                    // Reservoir sampling with a per-(seed, epoch, type,
-                    // node) stream: uniform without replacement, O(degree),
-                    // and entirely within the preallocated capacity.
-                    let mut state = self.seed;
-                    state = splitmix64(state ^ epoch);
-                    state = splitmix64(state ^ t as u64);
-                    state = splitmix64(state ^ v as u64);
-                    list.extend_from_slice(&neigh[..self.fanout]);
-                    for (i, &cand) in neigh.iter().enumerate().skip(self.fanout) {
-                        state = splitmix64(state);
-                        let j = (state % (i as u64 + 1)) as usize;
-                        if j < self.fanout {
-                            list[j] = cand;
-                        }
-                    }
-                }
+                sample_into(csr, self.seed, self.fanout, epoch, t, v, list);
                 total += list.len() as u64;
             }
         }

@@ -1,7 +1,9 @@
 //! Property-based tests of the graph substrate: structural invariants of
 //! the heterogeneous table graph and of the embedding generators.
 
-use grimp_graph::{train_embdi, EmbdiConfig, FastTextLike, GraphConfig, NodeLabel, TableGraph};
+use grimp_graph::{
+    train_embdi, EmbdiConfig, FastTextLike, GraphConfig, NeighborSampler, NodeLabel, TableGraph,
+};
 use grimp_table::{ColumnKind, Schema, Table};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -119,6 +121,7 @@ proptest! {
         let scratch = TableGraph::build(&cat, GraphConfig::default(), &excluded);
 
         prop_assert_eq!(scratch.n_nodes(), grown.n_nodes());
+        prop_assert_eq!(grown.readout_range(), cat.n_rows()..grown.n_nodes());
         for n in 0..scratch.n_nodes() {
             prop_assert_eq!(scratch.label(n), grown.label(n), "node {}", n);
         }
@@ -138,6 +141,40 @@ proptest! {
                 .map(|(k, v)| (k.to_string(), v))
                 .collect();
             prop_assert_eq!(a, b, "cell index of column {}", c);
+        }
+    }
+
+    #[test]
+    fn frontier_draws_equal_the_all_node_epoch_lists(
+        t in arb_table(),
+        seed in 0u64..1000,
+        epoch in 0u64..50,
+        fanout in 1usize..4,
+    ) {
+        // The frontier of the readout set (cells) two hops out, drawn node
+        // by node, must see exactly the lists of the all-node epoch.
+        let g = TableGraph::build(&t, GraphConfig::default(), &[]);
+        let readout = g.readout_range();
+        prop_assert!(readout.clone().all(|v| matches!(g.label(v), NodeLabel::Cell { .. })));
+        let mut all = NeighborSampler::new(&g, seed, fanout);
+        let total = all.sample_epoch(epoch);
+        prop_assert_eq!(total, all.sampled_edges());
+        let frontier = NeighborSampler::new(&g, seed, fanout);
+        let mut nodes: Vec<usize> = readout.collect();
+        for _hop in 0..2 {
+            let mut next = nodes.clone();
+            for &v in &nodes {
+                for ty in 0..g.n_edge_types() {
+                    let mut drawn = Vec::new();
+                    frontier.sample_node(epoch, ty, v, &mut drawn);
+                    prop_assert_eq!(&drawn, &all.lists()[ty][v], "type {} node {}", ty, v);
+                    prop_assert_eq!(drawn.len(), frontier.sampled_degree(ty, v));
+                    next.extend(drawn.iter().map(|&u| u as usize));
+                }
+            }
+            next.sort_unstable();
+            next.dedup();
+            nodes = next;
         }
     }
 

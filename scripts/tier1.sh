@@ -18,8 +18,12 @@ cargo build --release --workspace
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+# Twice in a row: a test that passes only sometimes (shared global state,
+# fixed temp paths, timing) shows up here instead of in a later change.
+for run in 1 2; do
+    echo "==> cargo test -q --workspace (run $run of 2)"
+    cargo test -q --workspace
+done
 
 echo "==> cargo test -q -p grimp-core --features fault-injection (fault-injection suite)"
 cargo test -q -p grimp-core --features fault-injection
