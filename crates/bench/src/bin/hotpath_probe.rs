@@ -2,7 +2,7 @@
 //! instance with the optimized training hot path vs the legacy
 //! pre-optimization path (reference GEMM kernels, fresh allocation per
 //! ephemeral tensor, per-epoch feature clone) and writes `BENCH_hotpath.json`
-//! in the working directory.
+//! in the working directory once every gate has passed.
 //!
 //! Also measures the observability layer: the default (`NullSink`) path must
 //! stay within 2% of the previously recorded fast time — instrumentation is
@@ -453,7 +453,6 @@ fn main() {
         }
     }
     let _ = write!(json, ",\n  \"speedup\": {speedup:.3}\n}}\n");
-    fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
 
     println!(
         "fast   : {:.3}s (fwd {:.3} bwd {:.3} opt {:.3}), allocs after epoch 1: {}",
@@ -551,4 +550,7 @@ fn main() {
              (needs >= 4 cores and >= 2 threads)"
         );
     }
+    // Written only once every gate above has passed: `fast.seconds` is the
+    // next run's drift baseline, so a failed run must not replace it.
+    fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
 }
