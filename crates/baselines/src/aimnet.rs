@@ -133,7 +133,7 @@ impl Imputer for AimNetLike {
                 }
                 let positions: Vec<(usize, usize)> =
                     samples.iter().map(|s| (s.row, s.target_col)).collect();
-                let batch = VectorBatch::build(&graph, &norm, &positions, cfg.dim);
+                let batch = VectorBatch::build(&graph, &positions, cfg.dim);
                 let labels = match norm.schema().column(j).kind {
                     ColumnKind::Categorical => L::Cat(Rc::new(
                         samples
@@ -197,7 +197,7 @@ impl Imputer for AimNetLike {
             if missing.is_empty() {
                 continue;
             }
-            let batch = VectorBatch::build(&graph, &norm, &missing, cfg.dim);
+            let batch = VectorBatch::build(&graph, &missing, cfg.dim);
             let out = Self::head_forward(&mut tape, emb, head, &batch);
             let out_t = tape.value(out).clone();
             match norm.schema().column(j).kind {

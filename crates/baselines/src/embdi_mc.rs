@@ -63,18 +63,17 @@ impl EmbdiMc {
     fn context_vec(
         graph: &TableGraph,
         emb: &grimp_graph::EmbdiEmbeddings,
-        table: &Table,
         row: usize,
         target_col: usize,
         out: &mut [f32],
     ) {
         out.iter_mut().for_each(|v| *v = 0.0);
         let mut n = 0usize;
-        for c in 0..table.n_columns() {
+        for c in 0..graph.n_edge_types() {
             if c == target_col {
                 continue;
             }
-            if let Some(node) = graph.cell_node_of(table, row, c) {
+            if let Some(node) = graph.node_at(row, c) {
                 for (o, &e) in out.iter_mut().zip(emb.node(node as usize)) {
                     *o += e;
                 }
@@ -123,7 +122,7 @@ impl Imputer for EmbdiMc {
                 let Some(class) = domain.class_of(s.target_col, &key) else {
                     continue;
                 };
-                Self::context_vec(&graph, &emb, &norm, s.row, s.target_col, &mut buf);
+                Self::context_vec(&graph, &emb, s.row, s.target_col, &mut buf);
                 xs.extend_from_slice(&buf);
                 labels.push(class);
             }
@@ -153,7 +152,7 @@ impl Imputer for EmbdiMc {
         if !missing.is_empty() {
             let mut xs: Vec<f32> = Vec::with_capacity(missing.len() * dim);
             for &(i, j) in &missing {
-                Self::context_vec(&graph, &emb, &norm, i, j, &mut buf);
+                Self::context_vec(&graph, &emb, i, j, &mut buf);
                 xs.extend_from_slice(&buf);
             }
             let x = tape.input(Tensor::from_vec(missing.len(), dim, xs));

@@ -132,7 +132,7 @@ impl Imputer for TurlSub {
         if labels.is_empty() {
             return crate::encoding::mean_mode_fill(dirty);
         }
-        let batch = VectorBatch::build(&graph, &norm, &positions, cfg.dim);
+        let batch = VectorBatch::build(&graph, &positions, cfg.dim);
         let labels = Rc::new(labels);
         for _ in 0..cfg.epochs {
             let logits = Self::forward(&mut tape, emb, &query, &classifier, &batch);
@@ -146,7 +146,7 @@ impl Imputer for TurlSub {
         let mut result = dirty.clone();
         let missing = norm.missing_cells();
         if !missing.is_empty() {
-            let batch = VectorBatch::build(&graph, &norm, &missing, cfg.dim);
+            let batch = VectorBatch::build(&graph, &missing, cfg.dim);
             let logits = Self::forward(&mut tape, emb, &query, &classifier, &batch);
             let out = tape.value(logits).clone();
             for (s, &(i, j)) in missing.iter().enumerate() {

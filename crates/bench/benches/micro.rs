@@ -127,7 +127,7 @@ fn bench_task_heads(c: &mut Criterion) {
     let graph = TableGraph::build(&instance.dirty, GraphConfig::default(), &[]);
     let dim = 32;
     let samples: Vec<(usize, usize)> = (0..200).map(|i| (i % instance.dirty.n_rows(), 0)).collect();
-    let batch = VectorBatch::build(&graph, &instance.dirty, &samples, dim);
+    let batch = VectorBatch::build(&graph, &samples, dim);
     let cfg = GrimpConfig::fast();
     for kind in [TaskKind::Linear, TaskKind::Attention] {
         let mut rng = StdRng::seed_from_u64(1);

@@ -314,7 +314,7 @@ mod tests {
 
     #[test]
     fn save_and_load_via_disk() {
-        let dir = std::env::temp_dir().join("grimp-ckpt-test");
+        let dir = std::env::temp_dir().join(format!("grimp-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(CHECKPOINT_FILE);
         let ck = sample();
@@ -374,7 +374,8 @@ mod tests {
 
     #[test]
     fn save_keeps_the_previous_generation() {
-        let dir = std::env::temp_dir().join("grimp-ckpt-rotate-test");
+        let dir =
+            std::env::temp_dir().join(format!("grimp-ckpt-rotate-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(CHECKPOINT_FILE);

@@ -198,7 +198,7 @@ impl FederatedGrimp {
                     }
                     let positions: Vec<(usize, usize)> =
                         samples.iter().map(|s| (s.row, s.target_col)).collect();
-                    let batch = VectorBatch::build(&graph, &shard, &positions, base.embed_dim);
+                    let batch = VectorBatch::build(&graph, &positions, base.embed_dim);
                     let labels = match shard.schema().column(j).kind {
                         ColumnKind::Categorical => Labels::Cat(Rc::new(
                             samples
@@ -325,7 +325,7 @@ impl Party {
             if missing.is_empty() {
                 continue;
             }
-            let batch = VectorBatch::build(&self.graph, &self.shard, &missing, base.embed_dim);
+            let batch = VectorBatch::build(&self.graph, &missing, base.embed_dim);
             let out = self.tasks[j].forward(&mut self.tape, h, &batch);
             let out_t = self.tape.value(out).clone();
             match self.shard.schema().column(j).kind {

@@ -139,7 +139,7 @@ impl TrainedGrimp {
                     }
                     let positions: Vec<(usize, usize)> =
                         samples.iter().map(|s| (s.row, s.target_col)).collect();
-                    let batch = VectorBatch::build(&graph, &norm, &positions, config.embed_dim);
+                    let batch = VectorBatch::build(&graph, &positions, config.embed_dim);
                     let labels = match norm.schema().column(j).kind {
                         ColumnKind::Categorical => L::Cat(Rc::new(
                             samples
@@ -298,7 +298,7 @@ impl TrainedGrimp {
                 profiles.push(None);
                 continue;
             }
-            let batch = VectorBatch::build(&graph, &norm, &samples, self.config.embed_dim);
+            let batch = VectorBatch::build(&graph, &samples, self.config.embed_dim);
             match task.attention_alpha(&mut self.tape, h, &batch) {
                 Some(alpha) => {
                     let a = self.tape.value(alpha);
@@ -352,7 +352,7 @@ impl TrainedGrimp {
             if missing.is_empty() {
                 continue;
             }
-            let batch = VectorBatch::build(&graph, &norm, &missing, self.config.embed_dim);
+            let batch = VectorBatch::build(&graph, &missing, self.config.embed_dim);
             let out = self.tasks[j].forward(&mut self.tape, h, &batch);
             let out_t = self.tape.value(out).clone();
             match norm.schema().column(j).kind {

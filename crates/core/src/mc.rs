@@ -180,8 +180,8 @@ impl GnnMc {
             train_labels.truncate(cap);
         }
         let (val_pos, val_labels) = collect(&corpus.validation);
-        let train_batch = VectorBatch::build(&graph, &norm, &train_pos, cfg.embed_dim);
-        let val_batch = VectorBatch::build(&graph, &norm, &val_pos, cfg.embed_dim);
+        let train_batch = VectorBatch::build(&graph, &train_pos, cfg.embed_dim);
+        let val_batch = VectorBatch::build(&graph, &val_pos, cfg.embed_dim);
         let train_labels = Rc::new(train_labels);
         let val_labels = Rc::new(val_labels);
 
@@ -237,7 +237,7 @@ impl GnnMc {
             let x = tape.input(feature_tensor.clone());
             let h0 = gnn.forward(&mut tape, x);
             let h = merge.forward(&mut tape, h0);
-            let batch = VectorBatch::build(&graph, &norm, &missing, cfg.embed_dim);
+            let batch = VectorBatch::build(&graph, &missing, cfg.embed_dim);
             let out = mc_forward(&mut tape, &classifier, h, &batch);
             let out_t = tape.value(out).clone();
             for (s, &(i, j)) in missing.iter().enumerate() {

@@ -356,12 +356,8 @@ impl FittedModel {
             match self.tiers[j] {
                 ColumnTier::Gnn => {
                     let h = h.expect("invariant: forward pass ran for GNN-tier columns");
-                    let batch = VectorBatch::for_readout(
-                        &self.graph,
-                        &self.norm,
-                        &missing,
-                        self.config.embed_dim,
-                    );
+                    let batch =
+                        VectorBatch::for_readout(&self.graph, &missing, self.config.embed_dim);
                     let out = task.forward(&mut self.tape, h, &batch);
                     let out_t = self.tape.value(out).clone();
                     match self.norm.schema().column(j).kind {
@@ -463,8 +459,7 @@ impl FittedModel {
                         trace.counter(names::IMPUTED_CELLS, j as u64, missing.len() as u64);
                         continue;
                     };
-                    let batch =
-                        VectorBatch::for_readout(graph, norm, &missing, self.config.embed_dim);
+                    let batch = VectorBatch::for_readout(graph, &missing, self.config.embed_dim);
                     let out = task.forward(&mut self.tape, *h, &batch);
                     let out_t = self.tape.value(out).clone();
                     match norm.schema().column(j).kind {
@@ -704,34 +699,26 @@ pub(crate) fn fit_model_delta(
         .collect();
 
     // Graph without validation edges (§3.6) — test cells are already ∅.
-    // Sampled mode builds it in row chunks of `batch_rows` so the peak
-    // transient footprint scales with the batch, not the table; the result
-    // is bit-identical to the monolithic build.
-    let graph = match &cfg.sampler {
-        Some(s) => {
-            TableGraph::build_chunked_traced(&norm, cfg.graph, &excluded, s.batch_rows, &mut trace)
-        }
-        None => match delta_from {
-            // Append-delta path: grow the base graph by the appended rows
-            // (CSR segment append + value-node dictionary growth) instead
-            // of rebuilding from scratch. `append_rows` is proptest-proven
-            // bit-identical to the monolithic build, so a capped graph (or
-            // any other rejection) can just fall back to scratch.
-            Some(base_rows) if base_rows <= norm.n_rows() => {
-                let base_excluded: Vec<(usize, usize)> = excluded
-                    .iter()
-                    .copied()
-                    .filter(|&(i, _)| i < base_rows)
-                    .collect();
-                let base = norm.head(base_rows);
-                let mut g = TableGraph::build_traced(&base, cfg.graph, &base_excluded, &mut trace);
-                match g.append_rows(&norm, &excluded) {
-                    Ok(()) => g,
-                    Err(_) => TableGraph::build_traced(&norm, cfg.graph, &excluded, &mut trace),
-                }
+    let graph = match (&cfg.sampler, delta_from) {
+        // Append-delta path: grow the base graph by the appended rows
+        // (CSR segment append + value-node dictionary growth) instead
+        // of rebuilding from scratch. `append_rows` is proptest-proven
+        // bit-identical to the monolithic build, so a capped graph (or
+        // any other rejection) can just fall back to scratch.
+        (None, Some(base_rows)) if base_rows <= norm.n_rows() => {
+            let base_excluded: Vec<(usize, usize)> = excluded
+                .iter()
+                .copied()
+                .filter(|&(i, _)| i < base_rows)
+                .collect();
+            let base = norm.head(base_rows);
+            let mut g = TableGraph::build_traced(&base, cfg.graph, &base_excluded, &mut trace);
+            match g.append_rows(&norm, &excluded) {
+                Ok(()) => g,
+                Err(_) => TableGraph::build_traced(&norm, cfg.graph, &excluded, &mut trace),
             }
-            _ => TableGraph::build_traced(&norm, cfg.graph, &excluded, &mut trace),
-        },
+        }
+        _ => TableGraph::build_traced(&norm, cfg.graph, &excluded, &mut trace),
     };
 
     // Feature init. The FastText arm captures its seed so the fitted model
@@ -1091,7 +1078,6 @@ pub(crate) fn fit_model_delta(
                     j as u64,
                     st.batch_rows,
                     &graph,
-                    &norm,
                     &mut st.scratch,
                     tb,
                 );
@@ -1758,7 +1744,6 @@ impl TaskPool {
         task: u64,
         k: usize,
         graph: &TableGraph,
-        table: &Table,
         scratch: &mut Vec<(usize, usize)>,
         tb: &mut TaskBatch,
     ) {
@@ -1776,7 +1761,7 @@ impl TaskPool {
         }
         scratch.clear();
         scratch.extend(self.perm[..k].iter().map(|&i| self.positions[i as usize]));
-        tb.batch.refill(graph, table, scratch);
+        tb.batch.refill(graph, scratch);
         match (&mut tb.labels, &self.labels) {
             (Labels::Cat(dst), PoolLabels::Cat(src)) => {
                 let dst = Rc::get_mut(dst)
@@ -1845,7 +1830,7 @@ fn build_sampled_task_batches(
         };
         let kind = table.schema().column(j).kind;
         if samples.len() <= batch_rows {
-            let batch = VectorBatch::for_readout(graph, table, &positions, dim);
+            let batch = VectorBatch::for_readout(graph, &positions, dim);
             let labels = match kind {
                 ColumnKind::Categorical => Labels::Cat(Rc::new(cat(samples.len()))),
                 ColumnKind::Numerical => Labels::Num(Rc::new(num(samples.len()))),
@@ -1854,7 +1839,7 @@ fn build_sampled_task_batches(
             pools.push(None);
             continue;
         }
-        let batch = VectorBatch::for_readout(graph, table, &positions[..batch_rows], dim);
+        let batch = VectorBatch::for_readout(graph, &positions[..batch_rows], dim);
         let (labels, pool_labels) = match kind {
             ColumnKind::Categorical => (
                 Labels::Cat(Rc::new(cat(batch_rows))),
@@ -1899,7 +1884,7 @@ fn build_task_batches(
             }
             let positions: Vec<(usize, usize)> =
                 samples.iter().map(|s| (s.row, s.target_col)).collect();
-            let batch = VectorBatch::for_readout(graph, table, &positions, dim);
+            let batch = VectorBatch::for_readout(graph, &positions, dim);
             let labels = match table.schema().column(j).kind {
                 ColumnKind::Categorical => Labels::Cat(Rc::new(
                     samples
@@ -2231,7 +2216,7 @@ mod tests {
         let clean = functional_table(60);
         let mut dirty = clean.clone();
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(3));
-        let dir = std::env::temp_dir().join("grimp-resume-unit");
+        let dir = std::env::temp_dir().join(format!("grimp-resume-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
 
@@ -2267,7 +2252,8 @@ mod tests {
         let clean = functional_table(40);
         let mut dirty = clean.clone();
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(7));
-        let dir = std::env::temp_dir().join("grimp-corrupt-ckpt-unit");
+        let dir =
+            std::env::temp_dir().join(format!("grimp-corrupt-ckpt-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(crate::checkpoint::CHECKPOINT_FILE), b"garbage").unwrap();
@@ -2372,7 +2358,8 @@ mod tests {
         let clean = functional_table(150);
         let mut dirty = clean.clone();
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(24));
-        let dir = std::env::temp_dir().join("grimp-sampled-resume-unit");
+        let dir =
+            std::env::temp_dir().join(format!("grimp-sampled-resume-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
 

@@ -10,7 +10,6 @@
 use std::rc::Rc;
 
 use grimp_graph::TableGraph;
-use grimp_table::Table;
 use grimp_tensor::Tensor;
 
 /// Score bias used to exclude masked slots from attention.
@@ -39,41 +38,25 @@ pub struct VectorBatch {
 }
 
 impl VectorBatch {
-    /// Build the batch for `samples`, each a `(row, target_col)` pair. The
-    /// slot of `target_col` is always masked; other slots are masked when
-    /// the cell is `∅` (or its value has no node, which cannot happen for
-    /// values of the same table the graph was built from).
-    pub fn build(
-        graph: &TableGraph,
-        table: &Table,
-        samples: &[(usize, usize)],
-        dim: usize,
-    ) -> Self {
-        Self::build_from(graph, table, samples, dim, 0)
+    /// Build the batch for `samples`, each a `(row, target_col)` pair of
+    /// the table the graph was built over. The slot of `target_col` is
+    /// always masked; other slots are masked when the cell has no node
+    /// ([`TableGraph::node_at`]: `∅`, or a value capped out of the graph).
+    pub fn build(graph: &TableGraph, samples: &[(usize, usize)], dim: usize) -> Self {
+        Self::build_from(graph, samples, dim, 0)
     }
 
     /// [`VectorBatch::build`] for an embedding matrix that holds only the
     /// readout rows [`TableGraph::readout_range`] — the output of
     /// `HeteroSage::forward_blocks` — so gather indices are readout-local.
-    pub fn for_readout(
-        graph: &TableGraph,
-        table: &Table,
-        samples: &[(usize, usize)],
-        dim: usize,
-    ) -> Self {
+    pub fn for_readout(graph: &TableGraph, samples: &[(usize, usize)], dim: usize) -> Self {
         let base = u32::try_from(graph.readout_range().start).expect("node id fits u32");
-        Self::build_from(graph, table, samples, dim, base)
+        Self::build_from(graph, samples, dim, base)
     }
 
-    fn build_from(
-        graph: &TableGraph,
-        table: &Table,
-        samples: &[(usize, usize)],
-        dim: usize,
-        base: u32,
-    ) -> Self {
+    fn build_from(graph: &TableGraph, samples: &[(usize, usize)], dim: usize, base: u32) -> Self {
         let n = samples.len();
-        let n_cols = table.n_columns();
+        let n_cols = graph.n_edge_types();
         let mut idx = Vec::with_capacity(n * n_cols);
         let mut mask = Tensor::zeros(n * n_cols, dim);
         let mut score_bias = Tensor::zeros(n, n_cols);
@@ -83,7 +66,7 @@ impl VectorBatch {
                 let node = if c == target_col {
                     None
                 } else {
-                    graph.cell_node_of(table, row, c)
+                    graph.node_at(row, c)
                 };
                 match node {
                     Some(node) => {
@@ -121,7 +104,7 @@ impl VectorBatch {
     /// the previous epoch's `idx` has been dropped (`tape.reset()` does
     /// that). Panics if the batch is still aliased or `samples.len() != n`.
     /// Indices keep the convention the batch was built with.
-    pub fn refill(&mut self, graph: &TableGraph, table: &Table, samples: &[(usize, usize)]) {
+    pub fn refill(&mut self, graph: &TableGraph, samples: &[(usize, usize)]) {
         assert_eq!(
             samples.len(),
             self.n,
@@ -136,7 +119,7 @@ impl VectorBatch {
                 let node = if c == target_col {
                     None
                 } else {
-                    graph.cell_node_of(table, row, c)
+                    graph.node_at(row, c)
                 };
                 match node {
                     Some(node) => {
@@ -159,9 +142,9 @@ impl VectorBatch {
 mod tests {
     use super::*;
     use grimp_graph::GraphConfig;
-    use grimp_table::{ColumnKind, Schema};
+    use grimp_table::{ColumnKind, Schema, Table};
 
-    fn setup() -> (Table, TableGraph) {
+    fn setup() -> TableGraph {
         let schema = Schema::from_pairs(&[
             ("a", ColumnKind::Categorical),
             ("b", ColumnKind::Categorical),
@@ -174,14 +157,13 @@ mod tests {
                 vec![Some("y"), None, Some("m")],
             ],
         );
-        let g = TableGraph::build(&t, GraphConfig::default(), &[]);
-        (t, g)
+        TableGraph::build(&t, GraphConfig::default(), &[])
     }
 
     #[test]
     fn target_column_is_always_masked() {
-        let (t, g) = setup();
-        let b = VectorBatch::build(&g, &t, &[(0, 1)], 4);
+        let g = setup();
+        let b = VectorBatch::build(&g, &[(0, 1)], 4);
         assert_eq!(b.n, 1);
         // slot of column 1 masked, others live
         assert_eq!(b.mask.row_slice(0), &[1.0; 4]);
@@ -193,9 +175,9 @@ mod tests {
 
     #[test]
     fn null_cells_are_masked_too() {
-        let (t, g) = setup();
+        let g = setup();
         // row 1 has ∅ in column 1; target column 0
-        let b = VectorBatch::build(&g, &t, &[(1, 0)], 4);
+        let b = VectorBatch::build(&g, &[(1, 0)], 4);
         assert_eq!(b.mask.row_slice(0), &[0.0; 4]); // target
         assert_eq!(b.mask.row_slice(1), &[0.0; 4]); // null
         assert_eq!(b.mask.row_slice(2), &[1.0; 4]); // live
@@ -203,8 +185,8 @@ mod tests {
 
     #[test]
     fn live_slots_point_at_the_right_nodes() {
-        let (t, g) = setup();
-        let b = VectorBatch::build(&g, &t, &[(0, 0)], 4);
+        let g = setup();
+        let b = VectorBatch::build(&g, &[(0, 0)], 4);
         let p_node = g.cell_node(1, "p").unwrap();
         let m_node = g.cell_node(2, "m").unwrap();
         assert_eq!(b.idx[1], p_node);
@@ -213,16 +195,16 @@ mod tests {
 
     #[test]
     fn refill_matches_a_fresh_build_bit_for_bit() {
-        let (t, g) = setup();
-        let mut b = VectorBatch::build(&g, &t, &[(0, 1), (1, 0)], 4);
-        b.refill(&g, &t, &[(1, 2), (0, 0)]);
-        let fresh = VectorBatch::build(&g, &t, &[(1, 2), (0, 0)], 4);
+        let g = setup();
+        let mut b = VectorBatch::build(&g, &[(0, 1), (1, 0)], 4);
+        b.refill(&g, &[(1, 2), (0, 0)]);
+        let fresh = VectorBatch::build(&g, &[(1, 2), (0, 0)], 4);
         assert_eq!(*b.idx, *fresh.idx);
         assert_eq!(b.mask.as_slice(), fresh.mask.as_slice());
         assert_eq!(b.score_bias.as_slice(), fresh.score_bias.as_slice());
         // and back again: stale mask/bias state must not leak across refills
-        b.refill(&g, &t, &[(0, 1), (1, 0)]);
-        let original = VectorBatch::build(&g, &t, &[(0, 1), (1, 0)], 4);
+        b.refill(&g, &[(0, 1), (1, 0)]);
+        let original = VectorBatch::build(&g, &[(0, 1), (1, 0)], 4);
         assert_eq!(*b.idx, *original.idx);
         assert_eq!(b.mask.as_slice(), original.mask.as_slice());
         assert_eq!(b.score_bias.as_slice(), original.score_bias.as_slice());
@@ -231,17 +213,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "fixed")]
     fn refill_rejects_a_different_batch_size() {
-        let (t, g) = setup();
-        let mut b = VectorBatch::build(&g, &t, &[(0, 1)], 4);
-        b.refill(&g, &t, &[(0, 1), (1, 0)]);
+        let g = setup();
+        let mut b = VectorBatch::build(&g, &[(0, 1)], 4);
+        b.refill(&g, &[(0, 1), (1, 0)]);
     }
 
     #[test]
     fn same_vector_for_different_targets_differs_only_in_mask() {
         // the Fig. 5 scenario: one row, two different target columns
-        let (t, g) = setup();
-        let b0 = VectorBatch::build(&g, &t, &[(0, 0)], 4);
-        let b1 = VectorBatch::build(&g, &t, &[(0, 1)], 4);
+        let g = setup();
+        let b0 = VectorBatch::build(&g, &[(0, 0)], 4);
+        let b1 = VectorBatch::build(&g, &[(0, 1)], 4);
         // slot 2 (column c) identical in both
         assert_eq!(b0.idx[2], b1.idx[2]);
         assert_eq!(b0.mask.row_slice(2), b1.mask.row_slice(2));

@@ -161,7 +161,8 @@ fn the_trace_covers_every_pipeline_phase() {
 #[test]
 fn jsonl_trace_round_trips_through_the_hand_rolled_parser() {
     let dirty = dirty_table(50, 4);
-    let path = std::env::temp_dir().join("grimp-obs-trace-test.jsonl");
+    let path =
+        std::env::temp_dir().join(format!("grimp-obs-trace-test-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     {
         let mut sink = JsonlSink::create(&path).expect("create trace file");

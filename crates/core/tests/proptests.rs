@@ -74,7 +74,7 @@ proptest! {
         let samples: Vec<(usize, usize)> = (0..t.n_rows())
             .flat_map(|i| (0..t.n_columns()).map(move |j| (i, j)))
             .collect();
-        let batch = VectorBatch::build(&g, &t, &samples, dim);
+        let batch = VectorBatch::build(&g, &samples, dim);
         prop_assert_eq!(batch.n, samples.len());
         for (s, &(row, target)) in samples.iter().enumerate() {
             for c in 0..t.n_columns() {

@@ -9,8 +9,13 @@
 //! representation before training").
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use grimp_table::{Table, Value};
+use grimp_table::{Column, Table, Value};
+
+/// Node-map entry of a cell without a node: `∅`, or a value capped out of
+/// the node set. Also the "not yet seen" mark of the resolution caches.
+const NO_NODE: u32 = u32::MAX;
 
 /// What a graph node represents.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,6 +118,10 @@ pub struct TableGraph {
     cell_index: Vec<HashMap<String, u32>>,
     /// Per column: the typed edge list.
     edges: Vec<TypedEdges>,
+    /// Row-major (`row * n_cols + col`) cell node of every table cell,
+    /// [`NO_NODE`] for `∅` and capped-out values. Excluded cells keep
+    /// their node: they lose only their edge.
+    node_map: Vec<u32>,
     config: GraphConfig,
 }
 
@@ -130,72 +139,161 @@ pub fn format_rounded(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
+/// One column's non-null cells over a row range, resolved to column-local
+/// ids numbered in first-seen order of their canonical keys.
+struct ResolvedColumn {
+    /// Canonical key of each local id.
+    keys: Vec<String>,
+    /// Local id of each row of the range, [`NO_NODE`] for `∅`.
+    local: Vec<u32>,
+}
+
+/// Resolve `rows` of `column` to local ids. A cache keyed by dictionary
+/// code (categorical) or by `f64::to_bits` (numerical) forms each canonical
+/// key once per distinct code or bit pattern, not once per cell; the
+/// `String` index then merges codes or bit patterns whose keys coincide
+/// (`1.00001` and `1.00002` at 4 decimals, `-0.0` and `-0.00001`), so
+/// the ids are those of a per-cell string-keyed scan.
+fn resolve_column(column: &Column, rows: Range<usize>, decimals: usize) -> ResolvedColumn {
+    let mut keys: Vec<String> = Vec::new();
+    let mut by_key: HashMap<String, u32> = HashMap::new();
+    let mut intern = |key: String| -> u32 {
+        *by_key.entry(key).or_insert_with_key(|key| {
+            keys.push(key.clone());
+            (keys.len() - 1) as u32
+        })
+    };
+    let local = match column {
+        Column::Categorical { dict, codes } => {
+            let mut by_code = vec![NO_NODE; dict.len()];
+            codes[rows]
+                .iter()
+                .map(|code| match *code {
+                    None => NO_NODE,
+                    Some(code) => {
+                        let slot = &mut by_code[code as usize];
+                        if *slot == NO_NODE {
+                            *slot = intern(dict[code as usize].clone());
+                        }
+                        *slot
+                    }
+                })
+                .collect()
+        }
+        Column::Numerical { values } => {
+            let mut by_bits: HashMap<u64, u32> = HashMap::new();
+            values[rows]
+                .iter()
+                .map(|value| match *value {
+                    None => NO_NODE,
+                    Some(v) => *by_bits
+                        .entry(v.to_bits())
+                        .or_insert_with(|| intern(format_rounded(v, decimals))),
+                })
+                .collect()
+        }
+    };
+    ResolvedColumn { keys, local }
+}
+
+/// Row-major bitmap of the excluded cells of a row range. Cells outside
+/// the range or the column count are ignored.
+struct CellMask {
+    rows: Range<usize>,
+    n_cols: usize,
+    words: Vec<u64>,
+}
+
+impl CellMask {
+    fn new(rows: Range<usize>, n_cols: usize, cells: &[(usize, usize)]) -> Self {
+        let mut words = vec![0u64; (rows.len() * n_cols).div_ceil(64)];
+        for &(row, col) in cells {
+            if rows.contains(&row) && col < n_cols {
+                let bit = (row - rows.start) * n_cols + col;
+                words[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        CellMask {
+            rows,
+            n_cols,
+            words,
+        }
+    }
+
+    fn contains(&self, row: usize, col: usize) -> bool {
+        let bit = (row - self.rows.start) * self.n_cols + col;
+        self.words[bit / 64] & (1 << (bit % 64)) != 0
+    }
+}
+
 impl TableGraph {
     /// Build the graph from a dirty table, excluding the given cells (in
     /// addition to `∅` cells, which never produce edges).
+    ///
+    /// One pass per column over the table's columnar storage resolves every
+    /// cell to its node ([`resolve_column`]), so a canonical key is
+    /// formatted once per distinct dictionary code or float bit pattern.
     pub fn build(table: &Table, config: GraphConfig, excluded: &[(usize, usize)]) -> Self {
         let n_rows = table.n_rows();
         let n_cols = table.n_columns();
-        let excluded: std::collections::HashSet<(usize, usize)> =
-            excluded.iter().copied().collect();
+        let excluded = CellMask::new(0..n_rows, n_cols, excluded);
         let mut labels: Vec<NodeLabel> = (0..n_rows).map(|i| NodeLabel::Rid(i as u32)).collect();
-        let mut cell_index: Vec<HashMap<String, u32>> = vec![HashMap::new(); n_cols];
-        let mut edges: Vec<TypedEdges> = vec![TypedEdges::default(); n_cols];
+        let mut cell_index: Vec<HashMap<String, u32>> = Vec::with_capacity(n_cols);
+        let mut edges: Vec<TypedEdges> = Vec::with_capacity(n_cols);
+        let mut node_map = vec![NO_NODE; n_rows * n_cols];
 
-        // First, make sure every value in every attribute domain has a node,
-        // even if all its occurrences are excluded — imputation candidates
-        // must exist as nodes so they can be scored. Under a cell-node cap
-        // only the most frequent values survive (frequency cutoff, ties by
-        // first occurrence); node ids still follow first-seen order, so an
-        // uncapped build is bit-identical to the historical layout.
-        for (col, index) in cell_index.iter_mut().enumerate() {
-            let mut order: Vec<String> = Vec::new();
-            let mut counts: HashMap<String, usize> = HashMap::new();
-            for row in 0..n_rows {
-                if let Some(key) = value_key(table, row, col, config.numeric_decimals) {
-                    use std::collections::hash_map::Entry;
-                    match counts.entry(key) {
-                        Entry::Occupied(mut e) => *e.get_mut() += 1,
-                        Entry::Vacant(e) => {
-                            order.push(e.key().clone());
-                            e.insert(1);
-                        }
+        for col in 0..n_cols {
+            let ResolvedColumn { keys, local } =
+                resolve_column(table.column(col), 0..n_rows, config.numeric_decimals);
+            // Every value in the attribute domain gets a node, even if all
+            // its occurrences are excluded — imputation candidates must
+            // exist as nodes so they can be scored. Under a cell-node cap
+            // only the most frequent values survive (frequency cutoff, ties
+            // by first occurrence); node ids still follow first-seen order,
+            // so an uncapped build is bit-identical to the historical layout.
+            let kept: Vec<bool> = match config.max_cells_per_column {
+                Some(cap) if keys.len() > cap => {
+                    let mut counts = vec![0usize; keys.len()];
+                    for &l in local.iter().filter(|&&l| l != NO_NODE) {
+                        counts[l as usize] += 1;
                     }
+                    let mut ranked: Vec<usize> = (0..keys.len()).collect();
+                    ranked.sort_by_key(|&i| (std::cmp::Reverse(counts[i]), i));
+                    let mut kept = vec![false; keys.len()];
+                    for &i in &ranked[..cap] {
+                        kept[i] = true;
+                    }
+                    kept
                 }
-            }
-            let kept: Vec<usize> = match config.max_cells_per_column {
-                Some(cap) if order.len() > cap => {
-                    let mut ranked: Vec<usize> = (0..order.len()).collect();
-                    ranked.sort_by_key(|&i| (std::cmp::Reverse(counts[order[i].as_str()]), i));
-                    ranked.truncate(cap);
-                    ranked.sort_unstable();
-                    ranked
-                }
-                _ => (0..order.len()).collect(),
+                _ => vec![true; keys.len()],
             };
-            for i in kept {
-                let key = order[i].clone();
-                let id = labels.len() as u32;
-                labels.push(NodeLabel::Cell {
-                    col: col as u32,
-                    text: key.clone(),
-                });
-                index.insert(key, id);
+            let mut index = HashMap::with_capacity(keys.len());
+            let mut node_of_local = vec![NO_NODE; keys.len()];
+            for ((key, keep), node) in keys.into_iter().zip(kept).zip(&mut node_of_local) {
+                if keep {
+                    *node = labels.len() as u32;
+                    labels.push(NodeLabel::Cell {
+                        col: col as u32,
+                        text: key.clone(),
+                    });
+                    index.insert(key, *node);
+                }
             }
-        }
-        // Then add the typed edges for non-excluded cells. Values capped
-        // out of the node set simply contribute no edge.
-        for row in 0..n_rows {
-            for col in 0..n_cols {
-                if excluded.contains(&(row, col)) {
+            // Then the node map and the typed edges of non-excluded cells.
+            // Values capped out of the node set contribute neither.
+            let mut pairs = Vec::new();
+            for (row, &l) in local.iter().enumerate() {
+                if l == NO_NODE || node_of_local[l as usize] == NO_NODE {
                     continue;
                 }
-                if let Some(key) = value_key(table, row, col, config.numeric_decimals) {
-                    if let Some(&cell) = cell_index[col].get(&key) {
-                        edges[col].pairs.push((row as u32, cell));
-                    }
+                let node = node_of_local[l as usize];
+                node_map[row * n_cols + col] = node;
+                if !excluded.contains(row, col) {
+                    pairs.push((row as u32, node));
                 }
             }
+            cell_index.push(index);
+            edges.push(TypedEdges { pairs });
         }
         TableGraph {
             n_rows,
@@ -203,6 +301,7 @@ impl TableGraph {
             labels,
             cell_index,
             edges,
+            node_map,
             config,
         }
     }
@@ -218,124 +317,6 @@ impl TableGraph {
         use grimp_obs::names;
         let span = trace.enter(names::GRAPH_BUILD, 0);
         let graph = Self::build(table, config, excluded);
-        trace.counter(names::GRAPH_NODES, 0, graph.n_nodes() as u64);
-        trace.counter(names::GRAPH_EDGES, 0, graph.n_edges() as u64);
-        trace.exit(names::GRAPH_BUILD, 0, span);
-        graph
-    }
-
-    /// Chunked variant of [`TableGraph::build`]: rows are processed in
-    /// blocks of `chunk_rows`, so the transient per-pass state touched at
-    /// any moment is bounded by the chunk instead of the whole table. The
-    /// output is **bit-identical** to `build` — per-column first-seen order
-    /// only depends on row order, which chunk iteration preserves — so the
-    /// sampled training path can use it without perturbing node ids.
-    pub fn build_chunked(
-        table: &Table,
-        config: GraphConfig,
-        excluded: &[(usize, usize)],
-        chunk_rows: usize,
-    ) -> Self {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let n_rows = table.n_rows();
-        let n_cols = table.n_columns();
-        let excluded: std::collections::HashSet<(usize, usize)> =
-            excluded.iter().copied().collect();
-        let mut labels: Vec<NodeLabel> = (0..n_rows).map(|i| NodeLabel::Rid(i as u32)).collect();
-        let mut cell_index: Vec<HashMap<String, u32>> = vec![HashMap::new(); n_cols];
-        let mut edges: Vec<TypedEdges> = vec![TypedEdges::default(); n_cols];
-
-        // Pass 1 — domain discovery, one chunk of rows at a time. Counts are
-        // order-independent and first-seen order per column follows row
-        // order, exactly as in the monolithic pass.
-        let mut order: Vec<Vec<String>> = vec![Vec::new(); n_cols];
-        let mut counts: Vec<HashMap<String, usize>> = vec![HashMap::new(); n_cols];
-        let mut start = 0;
-        while start < n_rows {
-            let end = (start + chunk_rows).min(n_rows);
-            for row in start..end {
-                for col in 0..n_cols {
-                    if let Some(key) = value_key(table, row, col, config.numeric_decimals) {
-                        use std::collections::hash_map::Entry;
-                        match counts[col].entry(key) {
-                            Entry::Occupied(mut e) => *e.get_mut() += 1,
-                            Entry::Vacant(e) => {
-                                order[col].push(e.key().clone());
-                                e.insert(1);
-                            }
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-        // Node assignment — same frequency-cutoff and first-seen tie-break
-        // as `build`, column by column so ids interleave identically.
-        for (col, index) in cell_index.iter_mut().enumerate() {
-            let order = &order[col];
-            let counts = &counts[col];
-            let kept: Vec<usize> = match config.max_cells_per_column {
-                Some(cap) if order.len() > cap => {
-                    let mut ranked: Vec<usize> = (0..order.len()).collect();
-                    ranked.sort_by_key(|&i| (std::cmp::Reverse(counts[order[i].as_str()]), i));
-                    ranked.truncate(cap);
-                    ranked.sort_unstable();
-                    ranked
-                }
-                _ => (0..order.len()).collect(),
-            };
-            for i in kept {
-                let key = order[i].clone();
-                let id = labels.len() as u32;
-                labels.push(NodeLabel::Cell {
-                    col: col as u32,
-                    text: key.clone(),
-                });
-                index.insert(key, id);
-            }
-        }
-        // Pass 2 — edges, chunk by chunk, in the same row-major order as
-        // the monolithic edge pass.
-        let mut start = 0;
-        while start < n_rows {
-            let end = (start + chunk_rows).min(n_rows);
-            for row in start..end {
-                for col in 0..n_cols {
-                    if excluded.contains(&(row, col)) {
-                        continue;
-                    }
-                    if let Some(key) = value_key(table, row, col, config.numeric_decimals) {
-                        if let Some(&cell) = cell_index[col].get(&key) {
-                            edges[col].pairs.push((row as u32, cell));
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-        TableGraph {
-            n_rows,
-            n_cols,
-            labels,
-            cell_index,
-            edges,
-            config,
-        }
-    }
-
-    /// [`TableGraph::build_chunked`] wrapped in a
-    /// [`grimp_obs::names::GRAPH_BUILD`] span, mirroring
-    /// [`TableGraph::build_traced`].
-    pub fn build_chunked_traced(
-        table: &Table,
-        config: GraphConfig,
-        excluded: &[(usize, usize)],
-        chunk_rows: usize,
-        trace: &mut grimp_obs::Trace<'_>,
-    ) -> Self {
-        use grimp_obs::names;
-        let span = trace.enter(names::GRAPH_BUILD, 0);
-        let graph = Self::build_chunked(table, config, excluded, chunk_rows);
         trace.counter(names::GRAPH_NODES, 0, graph.n_nodes() as u64);
         trace.counter(names::GRAPH_EDGES, 0, graph.n_edges() as u64);
         trace.exit(names::GRAPH_BUILD, 0, span);
@@ -390,29 +371,32 @@ impl TableGraph {
         if k == 0 {
             return Ok(());
         }
-        let excluded: std::collections::HashSet<(usize, usize)> = excluded
-            .iter()
-            .copied()
-            .filter(|&(row, _)| row >= base_rows)
-            .collect();
+        let n_cols = self.n_cols;
+        let rows = base_rows..concat.n_rows();
+        let excluded = CellMask::new(rows.clone(), n_cols, excluded);
 
-        // Discover each column's newly seen values in appended-row scan
+        // Resolve each column's appended cells. Keys missing from the index
+        // are the column's newly seen values, in appended-row first-seen
         // order — the order a from-scratch build would first see them in.
-        let mut new_keys: Vec<Vec<String>> = vec![Vec::new(); self.n_cols];
-        for row in base_rows..concat.n_rows() {
-            for (col, keys) in new_keys.iter_mut().enumerate() {
-                if let Some(key) = value_key(concat, row, col, self.config.numeric_decimals) {
-                    if !self.cell_index[col].contains_key(&key) && !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-            }
-        }
+        let resolved: Vec<ResolvedColumn> = (0..n_cols)
+            .map(|col| {
+                resolve_column(
+                    concat.column(col),
+                    rows.clone(),
+                    self.config.numeric_decimals,
+                )
+            })
+            .collect();
+        let new_keys: Vec<Vec<&String>> = resolved
+            .iter()
+            .zip(&self.cell_index)
+            .map(|(r, index)| r.keys.iter().filter(|k| !index.contains_key(*k)).collect())
+            .collect();
 
         // Per-column shift of the existing cell ids: the k new RIDs push
         // every cell node back, and each earlier column's new values push
         // later columns back further.
-        let mut shifts: Vec<u32> = Vec::with_capacity(self.n_cols);
+        let mut shifts: Vec<u32> = Vec::with_capacity(n_cols);
         let mut acc = k as u32;
         for keys in &new_keys {
             shifts.push(acc);
@@ -432,7 +416,7 @@ impl TableGraph {
                 self.labels
                     .push(old_cells.next().expect("old cell label present"));
             }
-            for key in keys {
+            for &key in keys {
                 self.labels.push(NodeLabel::Cell {
                     col: col as u32,
                     text: key.clone(),
@@ -440,9 +424,10 @@ impl TableGraph {
             }
         }
 
-        // Remap the value index and the existing edges (RID ids are
-        // unchanged; only cell ids shift), then register the new values.
-        let mut next_new_id: Vec<u32> = Vec::with_capacity(self.n_cols);
+        // Remap the value index, the existing edges and the base rows'
+        // node map (RID ids are unchanged; only cell ids shift), then
+        // register the new values.
+        let mut next_new_id: Vec<u32> = Vec::with_capacity(n_cols);
         {
             let mut base = concat.n_rows() as u32;
             for (col, keys) in new_keys.iter().enumerate() {
@@ -455,7 +440,7 @@ impl TableGraph {
             for id in index.values_mut() {
                 *id += shifts[col];
             }
-            for (j, key) in new_keys[col].iter().enumerate() {
+            for (j, &key) in new_keys[col].iter().enumerate() {
                 index.insert(key.clone(), next_new_id[col] + j as u32);
             }
         }
@@ -464,18 +449,31 @@ impl TableGraph {
                 *cell += shifts[col];
             }
         }
+        for row in self.node_map.chunks_exact_mut(n_cols.max(1)) {
+            for (node, shift) in row.iter_mut().zip(&shifts) {
+                if *node != NO_NODE {
+                    *node += shift;
+                }
+            }
+        }
 
-        // CSR segment append: the new rows' edges, in the same row-major
-        // order the from-scratch edge pass would emit them.
-        for row in base_rows..concat.n_rows() {
-            for col in 0..self.n_cols {
-                if excluded.contains(&(row, col)) {
+        // CSR segment append: the new rows' nodes and edges, each column's
+        // edges in the row order the from-scratch edge pass would emit.
+        self.node_map.resize(concat.n_rows() * n_cols, NO_NODE);
+        for (col, r) in resolved.iter().enumerate() {
+            let node_of_local: Vec<u32> = r
+                .keys
+                .iter()
+                .map(|key| self.cell_index[col][key.as_str()])
+                .collect();
+            for (row, &l) in rows.clone().zip(&r.local) {
+                if l == NO_NODE {
                     continue;
                 }
-                if let Some(key) = value_key(concat, row, col, self.config.numeric_decimals) {
-                    if let Some(&cell) = self.cell_index[col].get(&key) {
-                        self.edges[col].pairs.push((row as u32, cell));
-                    }
+                let node = node_of_local[l as usize];
+                self.node_map[row * n_cols + col] = node;
+                if !excluded.contains(row, col) {
+                    self.edges[col].pairs.push((row as u32, node));
                 }
             }
         }
@@ -529,10 +527,15 @@ impl TableGraph {
         self.cell_index[col].get(key).copied()
     }
 
-    /// The cell node of a table cell's current value, if non-null.
-    pub fn cell_node_of(&self, table: &Table, row: usize, col: usize) -> Option<u32> {
-        value_key(table, row, col, self.config.numeric_decimals)
-            .and_then(|k| self.cell_node(col, &k))
+    /// The cell node of table cell `(row, col)` of the table the graph was
+    /// built over (or grown to by [`TableGraph::append_rows`]): `None` for
+    /// `∅` and for values capped out of the node set. Excluded cells keep
+    /// their node. A lookup reads the node map (4 B per cell); no key is
+    /// formatted.
+    pub fn node_at(&self, row: usize, col: usize) -> Option<u32> {
+        assert!(col < self.n_cols, "column {col} out of range");
+        let node = self.node_map[row * self.n_cols + col];
+        (node != NO_NODE).then_some(node)
     }
 
     /// All cell nodes of one attribute with their canonical texts, in
@@ -579,15 +582,6 @@ impl TableGraph {
             per_type.push(lists);
         }
         per_type
-    }
-
-    /// Degree of a node summed over all edge types.
-    pub fn total_degree(&self, node: u32) -> usize {
-        self.edges
-            .iter()
-            .flat_map(|e| e.pairs.iter())
-            .filter(|&&(r, c)| r == node || c == node)
-            .count()
     }
 
     /// Per-type CSR adjacencies over all nodes — the packed form of
@@ -936,7 +930,7 @@ mod tests {
         assert_eq!(g.n_column_cells(1), 2);
         // Capped-out cells resolve to no node and contribute no edges:
         // 10 "a"/"b" edges survive in column 0, all 12 in column 1.
-        assert_eq!(g.cell_node_of(&t, 4, 0), None);
+        assert_eq!(g.node_at(4, 0), None);
         assert_eq!(g.edges_of(0).pairs.len(), 10);
         assert_eq!(g.edges_of(1).pairs.len(), 12);
     }
@@ -991,11 +985,13 @@ mod tests {
     }
 
     #[test]
-    fn cell_node_of_resolves_current_values() {
-        let t = table();
-        let g = TableGraph::build(&t, GraphConfig::default(), &[]);
-        assert_eq!(g.cell_node_of(&t, 0, 0), g.cell_node(0, "FR"));
-        assert_eq!(g.cell_node_of(&t, 2, 0), None);
+    fn node_at_resolves_cell_values() {
+        let g = TableGraph::build(&table(), GraphConfig::default(), &[(0, 0)]);
+        // An excluded cell keeps its node; a null cell has none.
+        assert_eq!(g.node_at(0, 0), g.cell_node(0, "FR"));
+        assert_eq!(g.node_at(1, 0), g.cell_node(0, "FR"));
+        assert_eq!(g.node_at(2, 0), None);
+        assert_eq!(g.node_at(1, 1), g.cell_node(1, "2014.0000"));
     }
 
     fn assert_graphs_identical(a: &TableGraph, b: &TableGraph) {
@@ -1007,29 +1003,7 @@ mod tests {
         for c in 0..a.n_edge_types() {
             assert_eq!(a.edges_of(c).pairs, b.edges_of(c).pairs, "column {c}");
         }
-    }
-
-    #[test]
-    fn chunked_build_is_bit_identical_to_monolithic() {
-        let t = skewed_table();
-        let mono = TableGraph::build(&t, GraphConfig::default(), &[]);
-        for chunk in [1, 2, 5, 12, 100] {
-            let chunked = TableGraph::build_chunked(&t, GraphConfig::default(), &[], chunk);
-            assert_graphs_identical(&mono, &chunked);
-        }
-    }
-
-    #[test]
-    fn chunked_build_matches_under_cap_and_exclusions() {
-        let t = skewed_table();
-        let cfg = GraphConfig {
-            max_cells_per_column: Some(2),
-            ..GraphConfig::default()
-        };
-        let excluded = [(0, 0), (3, 1), (7, 0)];
-        let mono = TableGraph::build(&t, cfg, &excluded);
-        let chunked = TableGraph::build_chunked(&t, cfg, &excluded, 3);
-        assert_graphs_identical(&mono, &chunked);
+        assert_eq!(a.node_map, b.node_map);
     }
 
     /// Push `rows` onto a clone of `base` and return the concatenation.

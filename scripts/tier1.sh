@@ -18,6 +18,13 @@ cargo build --release --workspace
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark is a package of its own (perfbench/, outside the workspace),
+# so the workspace build never compiles it: build and test it here, so a
+# library API change that breaks it fails this gate instead of the
+# benchmark run.
+echo "==> perfbench package (build + its own tests)"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Twice in a row: a test that passes only sometimes (shared global state,
 # fixed temp paths, timing) shows up here instead of in a later change.
 for run in 1 2; do
